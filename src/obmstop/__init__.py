@@ -19,10 +19,6 @@ from .core import (
     fundamental_pair,
     generator_apply,
     obm_to_sbm,
-    phi_deriv,
-    phi_eval,
-    psi_deriv,
-    psi_eval,
     sbm_scale,
     sbm_scale_inv,
     sbm_to_obm,
@@ -34,13 +30,8 @@ from .solver import (
     Regime,
     RegimeTag,
     build_interface_fit,
-    classify_regime,
     find_r0,
-    g_minus,
     g_minus_roots,
-    g_plus,
-    h_minus,
-    h_plus,
     solve_bubble,
     solve_linear_threshold,
     solve_quadratic_one_sided,
@@ -48,7 +39,6 @@ from .solver import (
 )
 from .value import (
     ValueFunctionRep,
-    assemble,
     build_check_grid,
     excessivity_check,
     majorant_check,
@@ -72,10 +62,6 @@ __all__ = [
     "fundamental_pair",
     "generator_apply",
     "obm_to_sbm",
-    "phi_deriv",
-    "phi_eval",
-    "psi_deriv",
-    "psi_eval",
     "sbm_scale",
     "sbm_scale_inv",
     "sbm_to_obm",
@@ -85,19 +71,13 @@ __all__ = [
     "Regime",
     "RegimeTag",
     "build_interface_fit",
-    "classify_regime",
     "find_r0",
-    "g_minus",
     "g_minus_roots",
-    "g_plus",
-    "h_minus",
-    "h_plus",
     "solve_bubble",
     "solve_linear_threshold",
     "solve_quadratic_one_sided",
     "solve_region",
     "ValueFunctionRep",
-    "assemble",
     "build_check_grid",
     "excessivity_check",
     "majorant_check",

@@ -39,6 +39,7 @@ from .gridsolve import build_chain, extract_region, solve_stopping
 from .mc import McConfig, Sampler, estimate_value
 from .solver import (
     Region,
+    bubble_window,
     build_interface_fit,
     find_r0,
     solve_bubble,
@@ -156,15 +157,21 @@ def _model_from(args) -> tuple[ObmParams, Reward, bool]:
     return params, reward, False
 
 
-def _params_dict(params: ObmParams, args, reward: Reward) -> dict:
-    d = {
-        "sigma1": params.sigma1,
-        "sigma2": params.sigma2,
-        "r": getattr(args, "r", None),
-        "reward": reward.kind.value,
-        "beta": reward.beta,
-    }
-    return {k: v for k, v in d.items() if v is not None or k == "beta"}
+def _report(args, result: dict, text_lines: list[str], csv_header: list[str],
+            csv_rows: list[list], model: tuple[ObmParams, Reward] | None = None):
+    """Emit the report of args.cmd; model adds its (params, reward) block."""
+    report = {"command": args.cmd, "version": __version__, "result": result}
+    if model is not None:
+        params, reward = model
+        d = {
+            "sigma1": params.sigma1,
+            "sigma2": params.sigma2,
+            "r": getattr(args, "r", None),
+            "reward": reward.kind.value,
+            "beta": reward.beta,
+        }
+        report["params"] = {k: v for k, v in d.items() if v is not None or k == "beta"}
+    _emit(args, report, text_lines, csv_header, csv_rows)
 
 
 def _region_dict(region: Region) -> dict:
@@ -225,15 +232,13 @@ def cmd_solve(args) -> int:
         text.append(f"origin in stopping region: {'yes' if zero_stopped else 'no'}")
     if not checks.ok:
         text.append("verification: FAIL (" + "; ".join(checks.failures) + ")")
-    report = {"command": "solve", "version": __version__,
-              "params": _params_dict(params, args, reward), "result": result}
     th = sol.regime.thresholds
     header = ["regime", "c", "c1", "c2", "c3", "k", "a", "b"]
     row = [sol.regime.tag.value, th.get("c"), th.get("c1"), th.get("c2"),
            th.get("c3"), sol.k,
            sol.bubble.a if sol.bubble else None,
            sol.bubble.b if sol.bubble else None]
-    _emit(args, report, text, header, [row])
+    _report(args, result, text, header, [row], (params, reward))
     return 0 if checks.ok else 2
 
 
@@ -245,23 +250,15 @@ def cmd_classify(args) -> int:
     text = [f"regime: {sol.regime.tag.value}"] + [
         f"  {k} = {_fmt(v)}" for k, v in sol.regime.thresholds.items()
     ]
-    report = {"command": "classify", "version": __version__,
-              "params": _params_dict(params, args, reward), "result": result}
     header = ["regime"] + list(sol.regime.thresholds)
-    _emit(args, report, text, header,
-          [[sol.regime.tag.value] + list(sol.regime.thresholds.values())])
+    _report(args, result, text, header,
+            [[sol.regime.tag.value] + list(sol.regime.thresholds.values())],
+            (params, reward))
     return 0
 
 
 def _sweep_one(payload):
-    sigma1, sigma2, reward_kind, beta, r = payload
-    params = ObmParams(sigma1, sigma2)
-    if reward_kind == "quad":
-        reward = Reward.quadratic_plus()
-    elif reward_kind == "linear":
-        reward = Reward.linear_plus()
-    else:
-        reward = Reward.skew_linear(beta)
+    params, reward, r = payload
     sol = solve_region(params, r, reward)
     th = sol.regime.thresholds
     return [r, sol.regime.tag.value, th.get("c"), th.get("c1"), th.get("c2"),
@@ -274,10 +271,7 @@ def cmd_sweep(args) -> int:
     if args.r_min <= 0 or args.r_max <= args.r_min or args.n < 2:
         raise DomainError("need 0 < r-min < r-max and n >= 2")
     rates = np.linspace(args.r_min, args.r_max, args.n)
-    payloads = [
-        (params.sigma1, params.sigma2, reward.kind.value, reward.beta, float(r))
-        for r in rates
-    ]
+    payloads = [(params, reward, float(r)) for r in rates]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_one, payloads))
@@ -287,10 +281,8 @@ def cmd_sweep(args) -> int:
         row.append(None)
     # when the swept range crosses the rate where the region first
     # disconnects, mark that rate with its own row
-    if (reward.kind is RewardKind.QUADRATIC_PLUS
-            and params.sigma2**2 > 2.0 * params.sigma1**2
-            and args.r_min < params.sigma2**2
-            and args.r_max > 2.0 * params.sigma1**2):
+    window = bubble_window(params, reward)
+    if window is not None and args.r_min < window.hi and args.r_max > window.lo:
         try:
             r0 = find_r0(params, reward)
         except ConvergenceError as exc:
@@ -298,7 +290,7 @@ def cmd_sweep(args) -> int:
                   file=sys.stderr)
         else:
             if args.r_min < r0 < args.r_max:
-                row0 = _sweep_one(payloads[0][:4] + (r0,))
+                row0 = _sweep_one((params, reward, r0))
                 row0.append("r0")
                 rows.append(row0)
                 rows.sort(key=lambda row: row[0])
@@ -308,9 +300,7 @@ def cmd_sweep(args) -> int:
         f"{name}={_fmt(val)}" for name, val in zip(header[2:-1], row[2:-1])
         if val is not None) + (f"  [{row[-1]}]" if row[-1] else "")
         for row in rows]
-    report = {"command": "sweep", "version": __version__,
-              "params": _params_dict(params, args, reward), "result": result}
-    _emit(args, report, text, header, rows)
+    _report(args, result, text, header, rows, (params, reward))
     return 0
 
 
@@ -318,21 +308,19 @@ def cmd_bubble(args) -> int:
     params, reward, _ = _model_from(args)
     if args.find_r0:
         r0 = find_r0(params, reward)
-        result = {"r0": r0, "window": [2.0 * params.sigma1**2, params.sigma2**2]}
-        text = [f"critical rate r0 = {_fmt(r0)}"]
-        report = {"command": "bubble", "version": __version__,
-                  "params": _params_dict(params, args, reward), "result": result}
-        _emit(args, report, text, ["r0"], [[r0]])
+        window = bubble_window(params, reward)
+        result = {"r0": r0,
+                  "window": [window.lo, None if math.isinf(window.hi) else window.hi]}
+        _report(args, result, [f"critical rate r0 = {_fmt(r0)}"], ["r0"], [[r0]],
+                (params, reward))
         return 0
     if args.r is None:
         raise DomainError("bubble needs --r (or --find-r0)")
     sol = solve_bubble(params, args.r, reward)
     if sol is None:
-        result = {"exists": False}
-        text = ["no disconnected solution at this rate (one-sided regime)"]
-        report = {"command": "bubble", "version": __version__,
-                  "params": _params_dict(params, args, reward), "result": result}
-        _emit(args, report, text, ["exists"], [[False]])
+        _report(args, {"exists": False},
+                ["no disconnected solution at this rate (one-sided regime)"],
+                ["exists"], [[False]], (params, reward))
         return 0
     result = {
         "exists": True, "c1": sol.c1, "c2": sol.c2, "c3": sol.c3,
@@ -343,11 +331,10 @@ def cmd_bubble(args) -> int:
         f"k = {_fmt(sol.k)}", f"a = {_fmt(sol.a)}", f"b = {_fmt(sol.b)}",
         f"max smooth-fit residual = {sol.max_residual:.3e}",
     ]
-    report = {"command": "bubble", "version": __version__,
-              "params": _params_dict(params, args, reward), "result": result}
     header = ["c1", "c2", "c3", "k", "a", "b", "max_residual"]
-    _emit(args, report, text, header,
-          [[sol.c1, sol.c2, sol.c3, sol.k, sol.a, sol.b, sol.max_residual]])
+    _report(args, result, text, header,
+            [[sol.c1, sol.c2, sol.c3, sol.k, sol.a, sol.b, sol.max_residual]],
+            (params, reward))
     return 0
 
 
@@ -382,14 +369,12 @@ def cmd_oracle(args) -> int:
             text.append("component count mismatch between grid and analytic region")
         else:
             text.append("errors: " + ", ".join(f"{d:.2e}" for d in diffs))
-    report = {"command": "oracle", "version": __version__,
-              "params": _params_dict(params, args, reward), "result": result}
     # CSV dump is the full chain solution for plotting
     g = reward.value(model.x)
     header = ["x", "g", "V", "stop"]
     rows = [[float(x), float(gv), float(vv), int(fl)]
             for x, gv, vv, fl in zip(model.x, g, _v, flags)]
-    _emit(args, report, text, header, rows)
+    _report(args, result, text, header, rows, (params, reward))
     return 0
 
 
@@ -428,11 +413,9 @@ def cmd_simulate(args) -> int:
         result["analytic_value"] = v
         result["abs_error"] = abs(v - res.value)
         text.append(f"closed-form value: {_fmt(v)} (|diff| = {abs(v - res.value):.3e})")
-    report = {"command": "simulate", "version": __version__,
-              "params": _params_dict(params, args, reward), "result": result}
     header = ["value", "stderr", "n_paths", "censored_frac"]
-    _emit(args, report, text, header,
-          [[res.value, res.stderr, res.n_paths, res.censored_frac]])
+    _report(args, result, text, header,
+            [[res.value, res.stderr, res.n_paths, res.censored_frac]], (params, reward))
     return 0
 
 
@@ -458,10 +441,8 @@ def cmd_verify(args) -> int:
             f"interface-fit candidate: A = {_fmt(info['A'])}, B = {_fmt(info['B'])}",
             f"excessivity: {'PASS' if exc.ok else 'FAIL (' + exc.detail + ')'}",
         ]
-        report = {"command": "verify", "version": __version__,
-                  "params": _params_dict(params, args, reward), "result": result}
-        _emit(args, report, text, ["candidate", "excessive"],
-              [["interface-fit", exc.ok]])
+        _report(args, result, text, ["candidate", "excessive"],
+                [["interface-fit", exc.ok]], (params, reward))
         return 0 if exc.ok else 2
     sol = solve_region(params, args.r, reward)
     rep = verify_solution(sol)
@@ -483,14 +464,12 @@ def cmd_verify(args) -> int:
     for name, check in (("excessivity", rep.excessive), ("majorant", rep.majorant),
                         ("smooth fit", rep.smooth_fit), ("nonnegativity", rep.nonnegative)):
         text.append(f"{name}: {'PASS' if check.ok else 'FAIL (' + check.detail + ')'}")
-    report = {"command": "verify", "version": __version__,
-              "params": _params_dict(params, args, reward), "result": result}
     header = ["check", "ok", "worst"]
     rows = [["excessive", rep.excessive.ok, rep.excessive.worst],
             ["majorant", rep.majorant.ok, rep.majorant.worst],
             ["smooth_fit", rep.smooth_fit.ok, rep.smooth_fit.worst],
             ["nonnegative", rep.nonnegative.ok, rep.nonnegative.worst]]
-    _emit(args, report, text, header, rows)
+    _report(args, result, text, header, rows, (params, reward))
     return 0 if rep.ok else 2
 
 
@@ -517,9 +496,8 @@ def cmd_figure_data(args) -> int:
         raise DomainError(f"unknown figure {args.which!r}")
     rows = [[float(x), float(y)] for x, y in zip(xs, ys)]
     result = {"which": which, "columns": ["x", label], "rows": rows}
-    report = {"command": "figure-data", "version": __version__, "result": result}
     text = [f"{_fmt(x)}\t{_fmt(y)}" for x, y in rows]
-    _emit(args, report, text, ["x", label], rows)
+    _report(args, result, text, ["x", label], rows)
     return 0
 
 
@@ -581,7 +559,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                        help="disconnected-region boundaries, or the critical rate")
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--find-r0", action="store_true",
-                   help="bisect for the rate where the region first disconnects")
+                   help="find the rate where the region first disconnects")
     p.set_defaults(func=cmd_bubble)
     _apply_defaults(p)
 

@@ -40,10 +40,6 @@ __all__ = [
     "FundamentalPair",
     "SkewParams",
     "fundamental_pair",
-    "psi_eval",
-    "psi_deriv",
-    "phi_eval",
-    "phi_deriv",
     "generator_apply",
     "sbm_scale",
     "sbm_scale_inv",
@@ -366,10 +362,6 @@ class FundamentalPair:
         """psi' phi - psi phi', constant in x."""
         return self.lam1 + self.lam2
 
-    def wronskian_at(self, x):
-        """Numerical Wronskian at x (equals .wronskian up to rounding)."""
-        return self.psi_deriv(x) * self.phi(x) - self.psi(x) * self.phi_deriv(x)
-
 
 def fundamental_pair(params: ObmParams, r) -> FundamentalPair:
     """Build the fundamental pair for the given volatilities and rate."""
@@ -386,22 +378,6 @@ def fundamental_pair(params: ObmParams, r) -> FundamentalPair:
         b1=0.5 * (1.0 + s2 / s1),
         b2=0.5 * (1.0 - s2 / s1),
     )
-
-
-def psi_eval(fp: FundamentalPair, x):
-    return fp.psi(x)
-
-
-def psi_deriv(fp: FundamentalPair, x):
-    return fp.psi_deriv(x)
-
-
-def phi_eval(fp: FundamentalPair, x):
-    return fp.phi(x)
-
-
-def phi_deriv(fp: FundamentalPair, x):
-    return fp.phi_deriv(x)
 
 
 def generator_apply(

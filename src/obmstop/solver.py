@@ -48,7 +48,6 @@ from .core import (
 __all__ = [
     "ROOT_XTOL",
     "RESIDUAL_TOL",
-    "R0_TOL",
     "Interval",
     "Region",
     "RegimeTag",
@@ -56,10 +55,6 @@ __all__ = [
     "BubbleSolution",
     "RegionSolution",
     "RegimeError",
-    "h_minus",
-    "h_plus",
-    "g_minus",
-    "g_plus",
     "threshold_minus",
     "threshold_plus",
     "stopping_rate",
@@ -68,7 +63,7 @@ __all__ = [
     "solve_quadratic_one_sided",
     "solve_bubble",
     "find_r0",
-    "classify_regime",
+    "bubble_window",
     "solve_region",
     "build_interface_fit",
     "InterfaceFitCandidate",
@@ -76,7 +71,6 @@ __all__ = [
 
 ROOT_XTOL = 1e-12      # absolute tolerance on root locations
 RESIDUAL_TOL = 1e-10   # smooth-fit residual tolerance
-R0_TOL = 1e-8          # absolute tolerance on the critical rate
 
 _BRENT_RTOL = 4 * np.finfo(float).eps
 
@@ -257,26 +251,6 @@ def threshold_plus(fp: FundamentalPair, reward: Reward, x, side: int = +1):
     return fp.phi(x) * gp - fp.phi_deriv(x) * reward.value(x)
 
 
-def h_minus(fp: FundamentalPair, x):
-    """Linear-reward threshold psi'(x)(1+x) - psi(x) on x >= -1."""
-    return threshold_minus(fp, Reward.linear_plus(), x)
-
-
-def h_plus(fp: FundamentalPair, x):
-    """Linear-reward companion phi(x) - phi'(x)(1+x) on x >= -1."""
-    return threshold_plus(fp, Reward.linear_plus(), x)
-
-
-def g_minus(fp: FundamentalPair, x):
-    """Quadratic-reward threshold psi' g - psi g', g = ((1+x)^+)^2."""
-    return threshold_minus(fp, Reward.quadratic_plus(), x)
-
-
-def g_plus(fp: FundamentalPair, x):
-    """Quadratic-reward companion phi g' - phi' g."""
-    return threshold_plus(fp, Reward.quadratic_plus(), x)
-
-
 def stopping_rate(params: ObmParams, r: float, reward: Reward, x, side: int = +1):
     """Q(x) = r g(x) - (sigma(x)^2/2) g''(x).
 
@@ -307,6 +281,22 @@ def _q_signflips(params: ObmParams, r: float, reward: Reward) -> tuple[Optional[
         return (x1 if -1.0 < x1 < 0.0 else None, x0 if x0 > 0.0 else None)
     # linear-type rewards: Q = r g >= 0 wherever g > 0, no interior flip
     return (None, None)
+
+
+def bubble_window(params: ObmParams, reward: Reward) -> Optional[Interval]:
+    """Open interval of rates at which the stopping region can disconnect.
+
+    (2 sigma1^2, sigma2^2) for the quadratic reward when sigma2^2 > 2
+    sigma1^2, every rate for the skew reward, and None when the region is
+    connected at every rate (the linear reward, or sigma2^2 <= 2 sigma1^2).
+    """
+    if reward.kind is RewardKind.SKEW_LINEAR:
+        return Interval(0.0, math.inf, closed_lo=False)
+    lo, hi = 2.0 * params.sigma1**2, params.sigma2**2
+    # sigma2 = sqrt(2) sigma1 can round to a window that holds no float
+    if reward.kind is RewardKind.LINEAR_PLUS or math.nextafter(lo, math.inf) >= hi:
+        return None
+    return Interval(lo, hi, closed_lo=False, closed_hi=False)
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +469,18 @@ def _one_sided_feasible(params: ObmParams, rate: float, reward: Reward,
 
 def solve_quadratic_one_sided(params: ObmParams, r, reward: Reward = Reward.quadratic_plus(),
                               xtol: float = ROOT_XTOL) -> float:
-    """One-sided threshold c(r) for the quadratic reward: largest root of G_-.
+    """One-sided threshold c(r): the largest root of G_-.
 
-    This covers every one-sided case: the unique-root cases, the tie at
-    r = 2 sigma1^2 (where the positive root wins), and r >= sigma2^2 where
-    the root equals 2 sigma1/sqrt(2r) - 1 exactly.  Raises RegimeError when
-    the candidate fails verification (disconnected regime).
+    This covers every one-sided case of the quadratic and skew rewards: the
+    unique-root cases, the tie at r = 2 sigma1^2 (where the positive root
+    wins), and r >= sigma2^2 where the quadratic root equals
+    2 sigma1/sqrt(2r) - 1 exactly.  Raises RegimeError when the candidate
+    fails verification (disconnected regime).
     """
     rate = as_rate(r)
     roots = g_minus_roots(params, rate, reward, xtol=xtol)
     if not roots:
-        raise ConvergenceError("no root of G_- found")
+        raise ConvergenceError(f"no root of G_- found at r={rate:.6g}")
     c = roots[-1]
     if not _one_sided_feasible(params, rate, reward, c):
         raise RegimeError(
@@ -564,17 +555,16 @@ def solve_bubble(params: ObmParams, r, reward: Reward = Reward.quadratic_plus(),
     rejected (one-sided regime).
     """
     rate = as_rate(r)
-    if reward.kind is RewardKind.QUADRATIC_PLUS:
-        s1sq, s2sq = params.sigma1**2, params.sigma2**2
-        if s2sq <= 2.0 * s1sq:
-            raise DomainError("disconnected regime requires sigma2^2 > 2 sigma1^2")
-        if not (2.0 * s1sq < rate < s2sq):
-            raise DomainError(
-                f"disconnected regime requires r in (2 sigma1^2, sigma2^2) = "
-                f"({2.0 * s1sq:.6g}, {s2sq:.6g}), got {rate:.6g}"
-            )
-    elif reward.kind is RewardKind.LINEAR_PLUS:
+    if reward.kind is RewardKind.LINEAR_PLUS:
         return None  # linear reward is always one-sided
+    window = bubble_window(params, reward)
+    if window is None:
+        raise DomainError("disconnected regime requires sigma2^2 > 2 sigma1^2")
+    if not window.contains(rate):
+        raise DomainError(
+            f"disconnected regime requires r in (2 sigma1^2, sigma2^2) = "
+            f"({window.lo:.6g}, {window.hi:.6g}), got {rate:.6g}"
+        )
 
     fp = fundamental_pair(params, rate)
     w = fp.wronskian
@@ -693,7 +683,8 @@ def solve_bubble(params: ObmParams, r, reward: Reward = Reward.quadratic_plus(),
     # feasibility: ordering, tangency quality, domination, stopping rate
     if not (reward.support_left < c1 <= c2 + 1e-10 and c2 <= 1e-14 and c3 > 0.0):
         return None
-    c2 = min(c2, 0.0)
+    # the tolerances above let c2 sit just outside [c1, 0]
+    c2 = min(max(c2, c1), 0.0)
     if max(residuals) > residual_tol * scale:
         raise ConvergenceError(
             f"bubble system residuals did not converge at r={rate:.8g}",
@@ -724,54 +715,44 @@ def solve_bubble(params: ObmParams, r, reward: Reward = Reward.quadratic_plus(),
                           residuals=residuals)
 
 
-def find_r0(params: ObmParams, reward: Reward = Reward.quadratic_plus(),
-            tol: float = R0_TOL) -> float:
+def find_r0(params: ObmParams, reward: Reward = Reward.quadratic_plus()) -> float:
     """Critical rate at which the stopping region first disconnects.
 
-    Bisection on r over (2 sigma1^2, sigma2^2) against bubble existence with
-    c2 - c1 > 0; returns the upper end of the final bracket (a rate at which
-    the bubble exists, with c2 - c1 of order the bracket width since the gap
-    closes linearly at r0).
+    g/psi has a local maximum at the negative root c1 of G_- and another at
+    its largest root c; the one-sided region [c, oo) is optimal while the
+    right one is the higher (k psi with k = g(c)/psi(c) must dominate g).
+    r0 is the root in r of g(c1)/psi(c1) - g(c)/psi(c), found by brentq
+    over the bubble window, (1e-6, sigma2^2) for the skew reward.  A rate
+    with no positive root of G_- counts as disconnected, one with no root
+    at or below 0 as connected.
     """
-    s1sq, s2sq = params.sigma1**2, params.sigma2**2
-    if reward.kind is RewardKind.QUADRATIC_PLUS and s2sq <= 2.0 * s1sq:
-        raise DomainError("no disconnected regime when sigma2^2 <= 2 sigma1^2")
+    window = bubble_window(params, reward)
+    if window is None:
+        if reward.kind is RewardKind.QUADRATIC_PLUS:
+            raise DomainError("no disconnected regime when sigma2^2 <= 2 sigma1^2")
+        raise ConvergenceError("the linear reward never disconnects")
+    lo, hi = window.lo, window.hi
+    if reward.kind is RewardKind.SKEW_LINEAR:
+        lo, hi = 1e-6, params.sigma2**2
 
-    lo = 2.0 * s1sq if reward.kind is RewardKind.QUADRATIC_PLUS else 1e-6
-    hi = s2sq
+    def gap(r: float) -> float:
+        roots = g_minus_roots(params, r, reward)
+        if not roots:
+            raise ConvergenceError(f"no root of G_- found at r={r:.8g}")
+        c1, c = roots[0], roots[-1]
+        if c <= 0.0:
+            return 1.0
+        if c1 > 0.0:
+            return -1.0
+        fp = fundamental_pair(params, r)
+        return (float(reward.value(c1)) / float(fp.psi(c1))
+                - float(reward.value(c)) / float(fp.psi(c)))
 
-    def predicate(r: float) -> bool:
-        try:
-            sol = solve_bubble(params, r, reward)
-        except ConvergenceError:
-            return False  # cannot certify a bubble there
-        return sol is not None and sol.c2 - sol.c1 > 0.0
-
-    span = hi - lo
-    if predicate(lo + 1e-9 * span):
-        raise ConvergenceError(
-            "bubble already present at the lower end of the bracket; "
-            "monotone predicate assumption violated"
-        )
-    # near the upper edge the bubble degenerates below numerical visibility,
-    # so walk inward until it is certifiable
-    b = None
-    for q in (1e-9, 1e-6, 1e-4, 1e-2, 0.05):
-        if predicate(hi - q * span):
-            b = hi - q * span
-            break
-    if b is None:
-        raise ConvergenceError(
-            "no certifiable bubble anywhere near the upper end of the bracket"
-        )
-    a = lo + 1e-9 * span
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if predicate(mid):
-            b = mid
-        else:
-            a = mid
-    return b
+    if gap(lo) >= 0.0:
+        raise ConvergenceError("region already disconnected at the lower end of the bracket")
+    if gap(hi) <= 0.0:
+        raise ConvergenceError("region still connected at the upper end of the bracket")
+    return brentq(gap, lo, hi, xtol=ROOT_XTOL, rtol=_BRENT_RTOL, maxiter=200)
 
 
 # ---------------------------------------------------------------------------
@@ -794,20 +775,8 @@ def solve_region(params: ObmParams, r, reward: Reward) -> RegionSolution:
     Exactly one of the two regimes verifies at any given rate.
     """
     rate = as_rate(r)
-    fp = fundamental_pair(params, rate)
-
-    if reward.kind is RewardKind.LINEAR_PLUS:
-        c = solve_linear_threshold(params, rate)
-        k = float(reward.value(c)) / float(fp.psi(c))
-        return RegionSolution(params, rate, reward, Regime(_tag_for(c), {"c": c}),
-                              Region.one_sided(c), k)
-
-    attempt_bubble = True
-    if reward.kind is RewardKind.QUADRATIC_PLUS:
-        s1sq, s2sq = params.sigma1**2, params.sigma2**2
-        attempt_bubble = s2sq > 2.0 * s1sq and 2.0 * s1sq < rate < s2sq
-
-    if attempt_bubble:
+    window = bubble_window(params, reward)
+    if window is not None and window.contains(rate):
         sol = solve_bubble(params, rate, reward)
         if sol is not None:
             regime = Regime(RegimeTag.BUBBLE,
@@ -815,22 +784,18 @@ def solve_region(params: ObmParams, r, reward: Reward) -> RegionSolution:
             return RegionSolution(params, rate, reward, regime, sol.region(),
                                   sol.k, bubble=sol)
 
-    roots = g_minus_roots(params, rate, reward)
-    if not roots:
-        raise ConvergenceError(f"no root of G_- found at r={rate:.6g}")
-    c = roots[-1]
-    if not _one_sided_feasible(params, rate, reward, c):
-        raise ConvergenceError(
-            f"neither one-sided nor disconnected solution verified at r={rate:.6g}"
-        )
-    k = float(reward.value(c)) / float(fp.psi(c))
+    if reward.kind is RewardKind.LINEAR_PLUS:
+        c = solve_linear_threshold(params, rate)
+    else:
+        try:
+            c = solve_quadratic_one_sided(params, rate, reward)
+        except RegimeError as exc:
+            raise ConvergenceError(
+                f"neither one-sided nor disconnected solution verified at r={rate:.6g}"
+            ) from exc
+    k = float(reward.value(c)) / float(fundamental_pair(params, rate).psi(c))
     return RegionSolution(params, rate, reward, Regime(_tag_for(c), {"c": c}),
                           Region.one_sided(c), k)
-
-
-def classify_regime(params: ObmParams, r, reward: Reward) -> Regime:
-    """Regime tag + thresholds for (params, r, reward)."""
-    return solve_region(params, r, reward).regime
 
 
 # ---------------------------------------------------------------------------

@@ -30,17 +30,14 @@ from .core import (
     FundamentalPair,
     ObmParams,
     Reward,
-    RewardKind,
     VerificationError,
     as_rate,
     fundamental_pair,
 )
-from .solver import Region, RegionSolution, solve_region
+from .solver import RegionSolution
 
 __all__ = [
     "ValueFunctionRep",
-    "assemble",
-    "assemble_from",
     "build_check_grid",
     "excessivity_check",
     "majorant_check",
@@ -110,15 +107,6 @@ class ValueFunctionRep:
 
     def deriv2(self, x):
         return self._pieces(x, 2)
-
-
-def assemble(params: ObmParams, r, reward: Reward) -> ValueFunctionRep:
-    """Solve and assemble the value function for (params, r, reward)."""
-    return ValueFunctionRep(solve_region(params, as_rate(r), reward))
-
-
-def assemble_from(solution: RegionSolution) -> ValueFunctionRep:
-    return ValueFunctionRep(solution)
 
 
 def build_check_grid(solution: RegionSolution, n: int = 4001,

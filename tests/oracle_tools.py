@@ -147,3 +147,29 @@ def chain_step_moments(x_node, h, sigma1, sigma2):
     else:
         dt = 0.5 * h**2 * (1.0 / sigma1**2 + 1.0 / sigma2**2)
     return 0.0, h**2, dt
+
+
+def critical_rate(sigma1, sigma2, r_lo, r_hi, x_hi=3.0, spacing=1e-5, span=18.0):
+    """Rate in [r_lo, r_hi] where the quadratic-reward region disconnects.
+
+    At a trial rate the two local maxima of g/psi sit at the smallest and
+    the largest root of G_- = psi' g - psi g' (ODE-integrated psi, roots on
+    (-1, x_hi] from a sign scan refined by bisection).  Their difference is
+    negative while the one-sided region is optimal and positive once the
+    left maximum wins; a rate with no positive root counts as positive.
+    The critical rate is the bisection root of that difference in r.
+    """
+    def gap(r):
+        psi, psi_d, _phi, _phi_d = ode_fundamental_pair(sigma1, sigma2, r, span)
+
+        def g_minus(x):
+            return psi_d(x) * quad_value(x) - psi(x) * quad_slope(x)
+
+        roots = [bisect_root(g_minus, a, b)
+                 for a, b in sign_scan(g_minus, -1.0 + spacing, x_hi, spacing)]
+        if roots[-1] <= 0.0:
+            return 1.0
+        c1, c = roots[0], roots[-1]
+        return float(quad_value(c1) / psi(c1) - quad_value(c) / psi(c))
+
+    return bisect_root(gap, r_lo, r_hi)

@@ -12,7 +12,7 @@ from obmstop.cli import main
 SCHEMA = json.loads(
     resources.files("obmstop").joinpath("report_schema.json").read_text())
 
-R0_12 = 2.2170934316441668
+R0_12 = 2.2170934247154497  # oracle_tools.critical_rate(1.0, 2.0, 2.1, 2.5)
 SBM_BOUNDS_R1 = (-0.29289321881345248, -0.26572042175724098, 0.22505753155675878)
 
 
@@ -139,7 +139,7 @@ def test_sweep_inserts_critical_rate_row(capsys):
     assert rates == sorted(rates)
     marked = [row for row in rows if row["note"] == "r0"]
     assert len(marked) == 1
-    assert marked[0]["r"] == pytest.approx(R0_12, abs=1e-6)
+    assert marked[0]["r"] == pytest.approx(R0_12, abs=1e-10)
     by_r = {row["r"]: row for row in rows}
     assert by_r[1.5]["regime"] == "OneSidedPositiveC"
     assert by_r[3.0]["regime"] == "Bubble"
@@ -169,7 +169,7 @@ def test_bubble_find_r0(capsys):
     rc, rep = run_json(capsys, ["bubble", "--sigma1", "1", "--sigma2", "2",
                                 "--find-r0"])
     assert rc == 0
-    assert rep["result"]["r0"] == pytest.approx(R0_12, abs=1e-8)
+    assert rep["result"]["r0"] == pytest.approx(R0_12, abs=1e-10)
     assert rep["result"]["window"] == [2.0, 4.0]
 
 

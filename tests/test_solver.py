@@ -18,11 +18,8 @@ from obmstop.solver import (
     RegimeError,
     RegimeTag,
     build_interface_fit,
-    classify_regime,
     find_r0,
-    g_minus,
     g_minus_roots,
-    h_minus,
     solve_bubble,
     solve_linear_threshold,
     solve_quadratic_one_sided,
@@ -31,6 +28,7 @@ from obmstop.solver import (
     threshold_minus,
     threshold_plus,
 )
+from obmstop.value import verify_solution
 
 P12 = ObmParams(1.0, 2.0)
 QUAD = Reward.quadratic_plus()
@@ -60,8 +58,12 @@ BUBBLE_39 = dict(c1=-0.28388512596056714, c2=-4.120484932962982e-05,
 BUBBLE_25 = dict(c1=-0.10557280900008419, c2=-0.02555139166832204,
                  c3=0.39640954269074824, k=1.0130083075650458)
 
-R0_12 = 2.2170934316441668
-R0_110 = 5.314160808121972
+# critical rates from oracle_tools.critical_rate (ODE pair, sign scan,
+# bisection in r) on the rate brackets (2.1, 2.5), (2.3, 3.5) and (3, 8),
+# the last with x_hi = 8
+R0_12 = 2.2170934247154497
+R0_13 = 2.7447154121169994
+R0_110 = 5.314160807779579
 
 
 # -- region containers -------------------------------------------------------
@@ -117,9 +119,9 @@ def test_threshold_values_at_interface(sigma1, sigma2, r):
 
 def test_threshold_support_edge():
     fp = fundamental_pair(P12, 2.5)
-    assert float(g_minus(fp, -1.0)) == 0.0
-    assert float(h_minus(fp, -1.0)) == pytest.approx(-float(fp.psi(-1.0)),
-                                                     rel=1e-14)
+    assert float(threshold_minus(fp, QUAD, -1.0)) == 0.0
+    assert float(threshold_minus(fp, LIN, -1.0)) == pytest.approx(
+        -float(fp.psi(-1.0)), rel=1e-14)
 
 
 def test_threshold_matches_ode_oracle():
@@ -220,7 +222,7 @@ def test_classification_regimes():
         (5.0, RegimeTag.ONE_SIDED_NEGATIVE_C),
     ]
     for r, tag in cases:
-        assert classify_regime(P12, r, QUAD).tag is tag
+        assert solve_region(P12, r, QUAD).regime.tag is tag
     sol = solve_region(P12, 1.0, QUAD)
     assert sol.regime.thresholds["c"] == pytest.approx(ORACLE_GM_ROOTS[1.0][0],
                                                        abs=2e-9)
@@ -232,7 +234,7 @@ def test_classification_regimes():
 def test_zero_threshold_at_twice_sigma1_sq():
     # no disconnected window: the tangency root 0 is the threshold
     for sigma1, sigma2 in [(1.0, 1.0), (2.0, 1.0), (1.0, 1.2)]:
-        regime = classify_regime(ObmParams(sigma1, sigma2), 2.0 * sigma1**2, QUAD)
+        regime = solve_region(ObmParams(sigma1, sigma2), 2.0 * sigma1**2, QUAD).regime
         assert regime.tag is RegimeTag.ONE_SIDED_ZERO_C
         assert abs(regime.thresholds["c"]) <= 1e-12
 
@@ -321,11 +323,30 @@ def test_region_monotone_in_rate():
 
 def test_find_r0_frozen():
     r0 = find_r0(P12)
-    assert r0 == pytest.approx(R0_12, abs=5e-9)
+    assert r0 == pytest.approx(R0_12, abs=1e-10)
     assert 2.0 < r0 < 4.0
     assert solve_bubble(P12, r0 + 1e-3) is not None
     assert solve_bubble(P12, r0 - 1e-3) is None
-    assert find_r0(ObmParams(1.0, 10.0)) == pytest.approx(R0_110, abs=5e-9)
+    assert find_r0(ObmParams(1.0, 3.0)) == pytest.approx(R0_13, abs=1e-10)
+    assert find_r0(ObmParams(1.0, 10.0)) == pytest.approx(R0_110, abs=1e-10)
+
+
+@pytest.mark.parametrize("rho", [25.0, 30.0, 50.0])
+def test_find_r0_at_large_ratios(rho):
+    # connected just below the critical rate, disconnected just above
+    params = ObmParams(1.0, rho)
+    lo, hi = 2.0, rho**2
+    r0 = find_r0(params)
+    assert lo < r0 < hi
+    assert not solve_region(params, r0 - 1e-3 * (r0 - lo), QUAD).regime.is_bubble
+    assert solve_region(params, r0 + 1e-3 * (hi - r0), QUAD).regime.is_bubble
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 10.0, 16.0, 30.0])
+def test_solve_region_verifies_at_r0(rho):
+    # at onset c2 can land a hair below c1; the region must stay valid
+    params = ObmParams(1.0, rho)
+    assert verify_solution(solve_region(params, find_r0(params), QUAD)).ok
 
 
 def test_find_r0_rejects_when_no_window():

@@ -21,7 +21,6 @@ from obmstop.solver import (
 )
 from obmstop.value import (
     ValueFunctionRep,
-    assemble,
     excessivity_check,
     majorant_check,
     verify_solution,
@@ -41,7 +40,7 @@ SKEW_BOUNDS_R1 = (-0.58578643762690497, -0.53144084351448195, 0.1500383543711725
 
 
 def test_one_sided_piece_values():
-    rep = assemble(P12, 4.5, QUAD)
+    rep = ValueFunctionRep(solve_region(P12, 4.5, QUAD))
     sol = rep.solution
     # c = 2 sigma1 / sqrt(2r) - 1 = -1/3, lam1 = 3, so k = (4/9) e
     assert sol.k == pytest.approx(4.0 * math.e / 9.0, rel=1e-12)
@@ -54,19 +53,19 @@ def test_one_sided_piece_values():
 
 
 def test_linear_zero_threshold_value():
-    rep = assemble(P12, 0.5, LIN)  # 2r = sigma1^2: c = 0, k = 1
+    rep = ValueFunctionRep(solve_region(P12, 0.5, LIN))  # 2r = sigma1^2: c = 0, k = 1
     assert rep.solution.k == pytest.approx(1.0, abs=1e-13)
     assert float(rep.value(-1.0)) == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert float(rep.value(1.0)) == 2.0
 
 
 def test_constant_volatility_value():
-    rep = assemble(ObmParams(1.0, 1.0), 2.0, QUAD)  # plain BM, c = 0
+    rep = ValueFunctionRep(solve_region(ObmParams(1.0, 1.0), 2.0, QUAD))  # plain BM, c = 0
     assert float(rep.value(-1.0)) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_bubble_piece_values():
-    rep = assemble(P12, 3.9, QUAD)
+    rep = ValueFunctionRep(solve_region(P12, 3.9, QUAD))
     sol = rep.solution
     bb = sol.bubble
     fp = fundamental_pair(P12, 3.9)
@@ -84,7 +83,7 @@ def test_bubble_piece_values():
 def test_value_harmonic_on_continuation():
     for r, pts in ((4.5, (-0.9, -0.5, -0.4)),
                    (3.9, (-0.9, -0.35, -1e-5, 0.005, 0.015))):
-        rep = assemble(P12, r, QUAD)
+        rep = ValueFunctionRep(solve_region(P12, r, QUAD))
         for x in pts:
             lv = float(generator_apply(P12, rep, x))
             rv = r * float(rep.value(x))
@@ -184,7 +183,7 @@ def test_value_matches_grid_oracle():
     model = build_chain(P12, -2.0, 6.0, 4e-3)
     v, flags, info = solve_stopping(model, 3.9, QUAD)
     assert info["residual"] < 1e-12
-    rep = assemble(P12, 3.9, QUAD)
+    rep = ValueFunctionRep(solve_region(P12, 3.9, QUAD))
     # sample away from the killed bottom node, whose V = g(x_min) = 0
     # artifact decays like exp(-lam1 (x - x_min)) going right
     idx = np.nonzero(model.x >= -0.5)[0][::10]
