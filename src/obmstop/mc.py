@@ -2,8 +2,9 @@
 
 The OBM is simulated without discretization bias through the skew Brownian
 motion: with beta = sigma1/(sigma1+sigma2), the map y -> sigma1 y (y < 0),
-sigma2 y (y >= 0) carries the SBM(beta) to the OBM.  One SBM transition over
-a step t is sampled exactly by the hit/no-hit decomposition:
+sigma2 y (y >= 0) carries the SBM(beta) to the OBM, so y = x/sigma(x) is the
+SBM coordinate of x.  One SBM transition over a step t is sampled exactly by
+the hit/no-hit decomposition:
 
   * propose y ~ N(x, t); if y has the sign of x, accept it as a no-zero-hit
     path with probability 1 - exp(-2|x||y|/t) (reflection identity);
@@ -13,14 +14,25 @@ a step t is sampled exactly by the hit/no-hit decomposition:
 
 The resulting transition density is N(y-x; t) + sgn(y)(2 beta - 1)
 N(|x|+|y|; t), which the distribution tests pin against closed-form CDF
-bins.  Proposals landing exactly on 0 take the hit branch.
+bins.  Proposals landing exactly on 0 take the hit branch.  The step is
+exact for any t, including steps that cross the interface.
 
 Valuation of a stopping region runs the chain on a fixed clock dt with
-first-entry detection at step resolution.  Paths far from both the interface
-and the region take one Gaussian step over many dt at once ("far-step
-merging"): a step of M dt is allowed only while 8 sigma sqrt(M dt) stays
-below the distance to {0} and to the region, so a spurious unobserved
-crossing has probability below 4 Sf(8) ~ 2.5e-15 per merged step.
+first-entry detection at step resolution.  A path far from the region takes
+one exact step over M dt at once ("far-step merging").  The miss bound:
+|Y| is a reflected Brownian motion, so ||Y_s| - |y|| <= sup |W| over the
+step.  To enter a component the path must reach one of its endpoints b
+(in SBM coordinates); that takes ||Y_s| - |y|| >= ||b| - |y|| when b is on
+the side of y, and >= max(|y|, ||b| - |y||) when b is across 0, since the
+path must reach 0 as well.  A step of M dt is allowed only while
+8 sqrt(M dt) stays below the smallest such distance (and M <=
+MAX_MERGE_STEPS), so an unobserved entry has probability below
+4 Sf(8) ~ 2.5e-15 per endpoint per merged step.  The distance to 0 itself
+does not limit the step.
+
+The Euler sampler is a plain Gaussian step in x; it cannot cross the
+interface exactly, so its merged steps also stay 8 sigma sqrt(M dt) away
+from 0.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .core import DomainError, ObmParams, Reward, as_rate, obm_to_sbm
 from .solver import Region
@@ -81,17 +93,23 @@ class McResult:
     horizon: float
     dt: float
     seed: int
+    iterations: int               # simulation loop passes, summed over batches
 
 
-def sbm_step_exact(x, t: float, beta: float, rng: np.random.Generator):
-    """One exact SBM(beta) transition of duration t from x (vectorized)."""
-    if not (t > 0.0 and math.isfinite(t)):
+def sbm_step_exact(x, t, beta: float, rng: np.random.Generator):
+    """One exact SBM(beta) transition from x (vectorized).
+
+    The duration t is a scalar or an array of per-path durations that
+    broadcasts against x.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all((t > 0.0) & np.isfinite(t)):
         raise DomainError(f"step duration must be positive, got {t}")
     if not (0.0 < beta < 1.0):
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    x_in = x
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    sqt = math.sqrt(t)
+    scalar = np.ndim(x) == 0 and t.ndim == 0
+    x, t = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)), t)
+    sqt = np.sqrt(t)
     y = x + sqt * rng.standard_normal(x.shape)
     same_side = x * y > 0.0
     u = rng.random(x.shape)
@@ -100,14 +118,13 @@ def sbm_step_exact(x, t: float, beta: float, rng: np.random.Generator):
     out = np.where(keep, y, 0.0)
     hit = ~keep
     if np.any(hit):
-        ax = np.abs(x[hit])
-        tail = norm.sf(ax / sqt)
-        tail = np.maximum(tail, 1e-300)
-        v = 1.0 - rng.random(ax.shape)  # in (0, 1], keeps isf finite
-        m = sqt * norm.isf(v * tail) - ax
+        ax, s = np.abs(x[hit]), sqt[hit]
+        tail = np.maximum(ndtr(-ax / s), 1e-300)
+        v = 1.0 - rng.random(ax.shape)  # in (0, 1], keeps the inverse finite
+        m = s * -ndtri(v * tail) - ax
         sign = np.where(rng.random(ax.shape) < beta, 1.0, -1.0)
         out[hit] = sign * np.maximum(m, 0.0)
-    return out if np.ndim(x_in) else float(out[0])
+    return float(out[0]) if scalar else out
 
 
 def sbm_transition_cdf(x: float, t: float, beta: float, y):
@@ -119,56 +136,82 @@ def sbm_transition_cdf(x: float, t: float, beta: float, y):
     sqt = math.sqrt(t)
     ax = abs(x)
     skew = 2.0 * beta - 1.0
-    neg = norm.cdf((y - x) / sqt) - skew * norm.sf((ax - y) / sqt)
-    pos = norm.cdf((y - x) / sqt) - skew * norm.sf((ax + y) / sqt)
+    neg = ndtr((y - x) / sqt) - skew * ndtr((y - ax) / sqt)
+    pos = ndtr((y - x) / sqt) - skew * ndtr(-(ax + y) / sqt)
     out = np.where(y < 0.0, neg, pos)
     return out if y.ndim else float(out)
 
 
-def obm_step(x, t: float, params: ObmParams, rng: np.random.Generator):
-    """One exact OBM transition of duration t from x (vectorized)."""
+def obm_step(x, t, params: ObmParams, rng: np.random.Generator):
+    """One exact OBM transition from x (vectorized; t scalar or per path)."""
     skew, _lam = obm_to_sbm(params)
-    x_in = x
+    scalar = np.ndim(x) == 0 and np.ndim(t) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.where(x < 0.0, x / params.sigma1, x / params.sigma2)
     y1 = np.atleast_1d(sbm_step_exact(y, t, skew.beta, rng))
     out = np.where(y1 < 0.0, params.sigma1 * y1, params.sigma2 * y1)
-    return out if np.ndim(x_in) else float(out[0])
+    return float(out[0]) if scalar else out
+
+
+def _merge_limit(y, ends):
+    """Smallest ||Y| - |y|| move that can carry SBM coordinate y to an end.
+
+    ends are the finite region endpoints in SBM coordinates; an endpoint
+    across 0 also needs the path to reach 0, a move of |y|.
+    """
+    ay = np.abs(y)
+    dist = np.full(y.shape, np.inf)
+    for b in ends:
+        gap = np.abs(abs(b) - ay)
+        across = (b < 0.0) != (y < 0.0)
+        dist = np.minimum(dist, np.where(across, np.maximum(ay, gap), gap))
+    return dist
+
+
+def _euler_step(xa, sig, mm, dt: float, rng: np.random.Generator):
+    """Gaussian step in x.
+
+    Merged paths draw their normals before single-step paths, the order
+    that earlier versions used, so a seed keeps its Euler results.
+    """
+    xn = np.empty_like(xa)
+    far = mm > 1
+    for sel in (far, ~far):
+        if np.any(sel):
+            z = rng.standard_normal(int(sel.sum()))
+            xn[sel] = xa[sel] + sig[sel] * np.sqrt(mm[sel] * dt) * z
+    return xn
 
 
 def _run_batch(params: ObmParams, rate: float, reward: Reward, region: Region,
                x0: float, m: int, n_steps: int, cfg: McConfig,
-               rng: np.random.Generator) -> tuple[np.ndarray, int]:
+               rng: np.random.Generator) -> tuple[np.ndarray, int, int]:
     pay = np.zeros(m)
     if region.contains(x0):
         pay[:] = float(reward.value(x0))
-        return pay, 0
+        return pay, 0, 0
 
+    exact = cfg.sampler is Sampler.EXACT_SBM
+    ends = [b / float(params.sigma(b)) for b in region.boundaries()]
     xa = np.full(m, float(x0))
     na = np.zeros(m, dtype=np.int64)
     idx = np.arange(m)
-    censored = 0
+    censored = iterations = 0
     while xa.size:
+        iterations += 1
         sig = np.asarray(params.sigma(xa), dtype=float)
-        if cfg.merge_far_steps:
-            d = np.minimum(np.abs(xa), region.distance(xa))
-            mm = np.floor((d / (8.0 * sig)) ** 2 / cfg.dt).astype(np.int64)
-            mm = np.clip(mm, 1, MAX_MERGE_STEPS)
+        if not cfg.merge_far_steps:
+            room = np.zeros(xa.size)
+        elif exact:
+            room = _merge_limit(xa / sig, ends)
         else:
-            mm = np.ones(xa.size, dtype=np.int64)
-        mm = np.minimum(mm, n_steps - na)
-        xn = np.empty_like(xa)
-        far = mm > 1
-        if np.any(far):
-            z = rng.standard_normal(int(far.sum()))
-            xn[far] = xa[far] + sig[far] * np.sqrt(mm[far] * cfg.dt) * z
-        near = ~far
-        if np.any(near):
-            if cfg.sampler is Sampler.EXACT_SBM:
-                xn[near] = obm_step(xa[near], cfg.dt, params, rng)
-            else:
-                z = rng.standard_normal(int(near.sum()))
-                xn[near] = xa[near] + sig[near] * math.sqrt(cfg.dt) * z
+            room = np.minimum(np.abs(xa), region.distance(xa)) / sig
+        mm = np.clip(np.floor((room / 8.0) ** 2 / cfg.dt), 1, MAX_MERGE_STEPS)
+        mm = np.minimum(mm.astype(np.int64), n_steps - na)
+        if exact:
+            xn = obm_step(xa, mm * cfg.dt, params, rng)
+        else:
+            xn = _euler_step(xa, sig, mm, cfg.dt, rng)
         na = na + mm
         stopped = np.asarray(region.contains(xn))
         expired = ~stopped & (na >= n_steps)
@@ -181,7 +224,7 @@ def _run_batch(params: ObmParams, rate: float, reward: Reward, region: Region,
             censored += int(expired.sum())
         keep = ~finished
         xa, na, idx = xn[keep], na[keep], idx[keep]
-    return pay, censored
+    return pay, censored, iterations
 
 
 def estimate_value(params: ObmParams, r, reward: Reward, region: Region,
@@ -202,17 +245,19 @@ def estimate_value(params: ObmParams, r, reward: Reward, region: Region,
     n_batches = (n_paths + cfg.batch_size - 1) // cfg.batch_size
     children = ss.spawn(n_batches)
     payoffs = np.empty(n_paths)
-    censored = 0
+    censored = iterations = 0
     pos = 0
     for b in range(n_batches):
         mb = min(cfg.batch_size, n_paths - pos)
         rng = np.random.Generator(np.random.Philox(children[b]))
-        p, c = _run_batch(params, rate, reward, region, x0, mb, n_steps, cfg, rng)
+        p, c, it = _run_batch(params, rate, reward, region, x0, mb, n_steps, cfg, rng)
         payoffs[pos:pos + mb] = p
         censored += c
+        iterations += it
         pos += mb
     value = float(payoffs.mean())
     stderr = float(payoffs.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else math.inf
     return McResult(value=value, stderr=stderr, n_paths=n_paths,
                     censored_frac=censored / n_paths,
-                    horizon=n_steps * cfg.dt, dt=cfg.dt, seed=cfg.seed)
+                    horizon=n_steps * cfg.dt, dt=cfg.dt, seed=cfg.seed,
+                    iterations=iterations)

@@ -73,6 +73,7 @@ ROOT_XTOL = 1e-12      # absolute tolerance on root locations
 RESIDUAL_TOL = 1e-10   # smooth-fit residual tolerance
 
 _BRENT_RTOL = 4 * np.finfo(float).eps
+_R0_DOUBLINGS = 40     # find_r0 grows the skew bracket to at most 2^40 sigma2^2
 
 
 class RegimeError(RuntimeError):
@@ -722,18 +723,20 @@ def find_r0(params: ObmParams, reward: Reward = Reward.quadratic_plus()) -> floa
     its largest root c; the one-sided region [c, oo) is optimal while the
     right one is the higher (k psi with k = g(c)/psi(c) must dominate g).
     r0 is the root in r of g(c1)/psi(c1) - g(c)/psi(c), found by brentq
-    over the bubble window, (1e-6, sigma2^2) for the skew reward.  A rate
-    with no positive root of G_- counts as disconnected, one with no root
-    at or below 0 as connected.
+    over the bubble window.  For the skew reward the bracket starts at
+    (1e-6, sigma2^2) and its upper end doubles, at most _R0_DOUBLINGS
+    times, until the region is disconnected there.  A rate with no
+    positive root of G_- counts as disconnected, one with no root at or
+    below 0 as connected.
     """
     window = bubble_window(params, reward)
     if window is None:
         if reward.kind is RewardKind.QUADRATIC_PLUS:
             raise DomainError("no disconnected regime when sigma2^2 <= 2 sigma1^2")
-        raise ConvergenceError("the linear reward never disconnects")
-    lo, hi = window.lo, window.hi
+        raise DomainError("the linear reward never disconnects")
+    lo, hi, doublings = window.lo, window.hi, 0
     if reward.kind is RewardKind.SKEW_LINEAR:
-        lo, hi = 1e-6, params.sigma2**2
+        lo, hi, doublings = 1e-6, params.sigma2**2, _R0_DOUBLINGS
 
     def gap(r: float) -> float:
         roots = g_minus_roots(params, r, reward)
@@ -750,8 +753,11 @@ def find_r0(params: ObmParams, reward: Reward = Reward.quadratic_plus()) -> floa
 
     if gap(lo) >= 0.0:
         raise ConvergenceError("region already disconnected at the lower end of the bracket")
-    if gap(hi) <= 0.0:
-        raise ConvergenceError("region still connected at the upper end of the bracket")
+    while gap(hi) <= 0.0:
+        if doublings == 0:
+            raise ConvergenceError(
+                f"region still connected at r={hi:.6g}, the upper end of the bracket")
+        lo, hi, doublings = hi, 2.0 * hi, doublings - 1
     return brentq(gap, lo, hi, xtol=ROOT_XTOL, rtol=_BRENT_RTOL, maxiter=200)
 
 

@@ -173,6 +173,14 @@ def test_bubble_find_r0(capsys):
     assert rep["result"]["window"] == [2.0, 4.0]
 
 
+def test_bubble_find_r0_linear_is_domain_error(capsys):
+    # the linear reward has no disconnection window: a domain question
+    rc, _, err = run(capsys, ["bubble", "--sigma1", "1", "--sigma2", "2",
+                              "--find-r0", "--reward", "linear"])
+    assert rc == 1
+    assert "never disconnects" in err
+
+
 def test_bubble_at_rate(capsys):
     rc, rep = run_json(capsys, ["bubble", "--sigma1", "1", "--sigma2", "2",
                                 "--r", "2.1"])

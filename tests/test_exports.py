@@ -1,7 +1,12 @@
-"""Every name a module exports through __all__ resolves."""
+"""Every name a module exports through __all__ resolves, and importing the
+CLI stays light."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +23,14 @@ def test_all_exports_resolve(name):
     exported = getattr(module, "__all__", ())
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes about 0.5 s to import and the package needs none of it
+    src = str(Path(obmstop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, obmstop.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -45,6 +45,24 @@ def test_sbm_step_chi_square():
     assert p > 0.01
 
 
+def test_sbm_step_per_path_durations_chi_square():
+    # one call with two interleaved durations: each half follows its own law
+    beta, x0 = 0.75, 0.2
+    durations = (0.3, 2.0)
+    t = np.where(np.arange(200_000) % 2 == 0, *durations)
+    rng = np.random.Generator(np.random.Philox(12))
+    y = sbm_step_exact(np.full(t.size, x0), t, beta, rng)
+    for dur in durations:
+        sample = y[t == dur]
+        edges = x0 + math.sqrt(dur) * stats.norm.ppf(np.linspace(0.02, 0.98, 25))
+        cdf = np.concatenate(([0.0], sbm_transition_cdf(x0, dur, beta, edges), [1.0]))
+        expected = sample.size * np.diff(cdf)
+        observed, _ = np.histogram(
+            sample, bins=np.concatenate(([-np.inf], edges, [np.inf])))
+        assert expected.min() > 20.0
+        assert stats.chisquare(observed, f_exp=expected).pvalue > 0.01
+
+
 def test_sbm_step_beta_half_is_brownian():
     rng = np.random.Generator(np.random.Philox(13))
     x0, t = -1.0, 0.5
@@ -132,3 +150,26 @@ def test_exact_and_euler_routes_agree():
     b = estimate_value(P12, 4.5, QUAD, region, -0.5, 15_000,
                        McConfig(dt=1e-4, seed=10, sampler=Sampler.EULER))
     assert abs(a.value - b.value) < 3.0 * (a.stderr + b.stderr) + 1e-2
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.005])
+def test_merged_steps_across_interface_agree_with_single_steps(x0):
+    # merged steps cross 0 in one exact draw; single dt steps are the reference
+    region = solve_region(P12, 1.5, QUAD).region
+    a = estimate_value(P12, 1.5, QUAD, region, x0, 10_000,
+                       McConfig(dt=1e-3, horizon=4.0, seed=21))
+    b = estimate_value(P12, 1.5, QUAD, region, x0, 10_000,
+                       McConfig(dt=1e-3, horizon=4.0, seed=22, merge_far_steps=False))
+    assert a.iterations < b.iterations
+    assert abs(a.value - b.value) < 3.0 * math.hypot(a.stderr, b.stderr) + 5e-3
+
+
+def test_straggler_iterations_counted():
+    # 20 paths from x0 = 0.7 at r = 1.5: with merging limited by the
+    # distance to 0 this point took 9,966 loop passes
+    region = solve_region(P12, 1.5, QUAD).region
+    res = estimate_value(P12, 1.5, QUAD, region, 0.7, 20, McConfig(seed=4))
+    again = estimate_value(P12, 1.5, QUAD, region, 0.7, 20, McConfig(seed=4))
+    assert res.iterations == again.iterations
+    assert 0 < res.iterations <= 9966 // 2
+    assert estimate_value(P12, 1.5, QUAD, region, 1.5, 20).iterations == 0

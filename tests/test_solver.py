@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracle_tools as oracle
-from obmstop.core import DomainError, ObmParams, Reward, fundamental_pair
+from obmstop.core import DomainError, ObmParams, Reward, fundamental_pair, sbm_to_obm
 from obmstop.solver import (
     BubbleSolution,
     Interval,
@@ -349,11 +349,24 @@ def test_solve_region_verifies_at_r0(rho):
     assert verify_solution(solve_region(params, find_r0(params), QUAD)).ok
 
 
+@pytest.mark.parametrize("beta", [0.75, 0.9])
+def test_find_r0_skew_above_sigma2_squared(beta):
+    # at these skews the region disconnects above sigma2^2, past the
+    # bracket's starting upper end
+    params, reward = sbm_to_obm(beta), Reward.skew_linear(beta)
+    r0 = find_r0(params, reward)
+    assert r0 > params.sigma2**2
+    assert not solve_region(params, r0 - 1e-6, reward).regime.is_bubble
+    assert solve_region(params, r0 + 1e-6, reward).regime.is_bubble
+
+
 def test_find_r0_rejects_when_no_window():
     with pytest.raises(DomainError):
         find_r0(ObmParams(1.0, 1.2))
     with pytest.raises(DomainError):
         find_r0(ObmParams(1.0, math.sqrt(2.0)))
+    with pytest.raises(DomainError):
+        find_r0(P12, LIN)
 
 
 # -- smooth-fit-at-interface candidate ---------------------------------------
