@@ -32,17 +32,21 @@ def test_sbm_step_sign_frequency():
     assert abs(freq - beta) < 3.0 * se
 
 
-def test_sbm_step_chi_square():
-    beta, x0, t = 0.75, 0.5, 1.0
-    rng = np.random.Generator(np.random.Philox(11))
-    y = sbm_step_exact(np.full(200_000, x0), t, beta, rng)
+def _chi_square_p(y, x0, t, beta):
+    """p-value of draws y from x0 against the closed-form law, 26 bins."""
     edges = x0 + math.sqrt(t) * stats.norm.ppf(np.linspace(0.02, 0.98, 25))
     cdf = np.concatenate(([0.0], sbm_transition_cdf(x0, t, beta, edges), [1.0]))
     expected = y.size * np.diff(cdf)
     observed, _ = np.histogram(y, bins=np.concatenate(([-np.inf], edges, [np.inf])))
     assert expected.min() > 20.0
-    p = stats.chisquare(observed, f_exp=expected).pvalue
-    assert p > 0.01
+    return stats.chisquare(observed, f_exp=expected).pvalue
+
+
+def test_sbm_step_chi_square():
+    beta, x0, t = 0.75, 0.5, 1.0
+    rng = np.random.Generator(np.random.Philox(11))
+    y = sbm_step_exact(np.full(200_000, x0), t, beta, rng)
+    assert _chi_square_p(y, x0, t, beta) > 0.01
 
 
 def test_sbm_step_per_path_durations_chi_square():
@@ -53,14 +57,7 @@ def test_sbm_step_per_path_durations_chi_square():
     rng = np.random.Generator(np.random.Philox(12))
     y = sbm_step_exact(np.full(t.size, x0), t, beta, rng)
     for dur in durations:
-        sample = y[t == dur]
-        edges = x0 + math.sqrt(dur) * stats.norm.ppf(np.linspace(0.02, 0.98, 25))
-        cdf = np.concatenate(([0.0], sbm_transition_cdf(x0, dur, beta, edges), [1.0]))
-        expected = sample.size * np.diff(cdf)
-        observed, _ = np.histogram(
-            sample, bins=np.concatenate(([-np.inf], edges, [np.inf])))
-        assert expected.min() > 20.0
-        assert stats.chisquare(observed, f_exp=expected).pvalue > 0.01
+        assert _chi_square_p(y[t == dur], x0, dur, beta) > 0.01
 
 
 def test_sbm_step_beta_half_is_brownian():
