@@ -31,10 +31,7 @@ from .solver import (
     RegimeTag,
     build_interface_fit,
     find_r0,
-    g_minus_roots,
     solve_bubble,
-    solve_linear_threshold,
-    solve_quadratic_one_sided,
     solve_region,
 )
 from .value import (
@@ -72,10 +69,7 @@ __all__ = [
     "RegimeTag",
     "build_interface_fit",
     "find_r0",
-    "g_minus_roots",
     "solve_bubble",
-    "solve_linear_threshold",
-    "solve_quadratic_one_sided",
     "solve_region",
     "ValueFunctionRep",
     "build_check_grid",

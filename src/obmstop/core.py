@@ -198,7 +198,12 @@ class Reward:
         return -1.0
 
     def kinks(self) -> tuple[float, ...]:
-        """Points where the slope of g jumps (upward; g is convex)."""
+        """Points where the slope of g jumps.
+
+        The jump is upward (a convex kink) at the support edge.  The skew
+        reward's kink at 0 is convex for beta > 1/2 and concave for
+        beta < 1/2, where g'(0-) = 2(1-beta) exceeds g'(0+) = 2 beta.
+        """
         if self.kind is RewardKind.LINEAR_PLUS:
             return (-1.0,)
         if self.kind is RewardKind.QUADRATIC_PLUS:
@@ -292,8 +297,9 @@ class FundamentalPair:
     # -- psi ---------------------------------------------------------------
 
     def psi(self, x):
+        # the left branch is exact at 0: psi(0) = 1, psi'(0) = lam1
         x = np.asarray(x, dtype=float)
-        neg = x < 0.0
+        neg = x <= 0.0
         out = np.where(
             neg,
             _safe_exp(self.lam1 * np.where(neg, x, 0.0)),
@@ -304,7 +310,7 @@ class FundamentalPair:
 
     def psi_deriv(self, x):
         x = np.asarray(x, dtype=float)
-        neg = x < 0.0
+        neg = x <= 0.0
         xl = np.where(neg, x, 0.0)
         xr = np.where(neg, 0.0, x)
         out = np.where(

@@ -228,16 +228,22 @@ def _smooth_fit_check(rep: ValueFunctionRep, tol: float = 1e-9) -> CheckResult:
     eps = 1e-9
     for b in sol.region.boundaries():
         scale = max(1.0, abs(float(sol.reward.value(b))))
+        kink = b in sol.reward.kinks()
         # value continuity: V and g compared at the same probe point, so
         # under true smooth fit the gap is O(eps^2) and never trips tol
         for xq in (b - eps, b + eps):
-            err = abs(float(rep.value(xq)) - float(sol.reward.value(xq))) / scale
+            gap = float(rep.value(xq)) - float(sol.reward.value(xq))
+            if kink:
+                # no smooth fit at a reward kink: the slope term is taken
+                # out so the gap is the value mismatch at b up to O(eps^2)
+                gap -= (xq - b) * (float(rep.deriv(xq)) - float(sol.reward.slope(xq)))
+            err = abs(gap) / scale
             if err > worst:
                 worst, where = err, b
         # derivative match across the boundary, skipping reward kinks where
         # only an inequality is required (checked by excessivity); the probe
         # sits eps inside each piece and a curvature term removes the offset
-        if b not in sol.reward.kinks():
+        if not kink:
             dl = float(rep.deriv(b - eps)) + eps * float(rep.deriv2(b - eps))
             dr = float(rep.deriv(b + eps)) - eps * float(rep.deriv2(b + eps))
             err = abs(dl - dr) / max(1.0, abs(dl), abs(dr))

@@ -110,6 +110,15 @@ def test_solve_skew_mode(capsys):
         assert got == pytest.approx(want, abs=1e-9)
 
 
+def test_solve_skew_mode_concave_kink(capsys):
+    # beta < 1/2: the reward kinks down at 0 and the region is [0, inf)
+    rc, rep = run_json(capsys, ["solve", "--beta", "0.2873", "--r", "0.18"])
+    assert rc == 0
+    assert rep["result"]["regime"] == "OneSidedZeroC"
+    assert rep["result"]["sbm"]["zero_in_stopping_region"] is True
+    assert rep["result"]["verification"]["ok"] is True
+
+
 def test_skew_mode_rejects_other_reward(capsys):
     rc, _, err = run(capsys, ["solve", "--beta", "0.75", "--reward", "quad",
                               "--r", "1"])

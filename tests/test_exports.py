@@ -1,5 +1,5 @@
-"""Every name a module exports through __all__ resolves, and importing the
-CLI stays light."""
+"""Every name a module exports through __all__ resolves, importing the CLI
+stays light, and the benchmark's instrumentation finds every name it wraps."""
 
 import importlib
 import os
@@ -34,3 +34,21 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_instrumentation_binds_every_name(monkeypatch):
+    # the traced benchmark run wraps package functions by module attribute,
+    # so deleting or renaming one of them must fail here, not only there
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    run = importlib.import_module("run")
+    spans = importlib.import_module("spans")
+    from obmstop import solver
+
+    original = solver.solve_region
+    tracer = spans.Tracer()
+    try:
+        run.instrument(tracer)
+        assert solver.solve_region is not original
+    finally:
+        tracer.restore()
+    assert solver.solve_region is original

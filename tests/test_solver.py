@@ -11,18 +11,19 @@ import pytest
 
 import oracle_tools as oracle
 from obmstop.core import DomainError, ObmParams, Reward, fundamental_pair, sbm_to_obm
+from obmstop.gridsolve import build_chain, extract_region, solve_stopping
 from obmstop.solver import (
     BubbleSolution,
     Interval,
     Region,
-    RegimeError,
+    Regime,
     RegimeTag,
+    RegionSolution,
+    _nodes,
+    _tangent_points,
     build_interface_fit,
     find_r0,
-    g_minus_roots,
     solve_bubble,
-    solve_linear_threshold,
-    solve_quadratic_one_sided,
     solve_region,
     stopping_rate,
     threshold_minus,
@@ -64,6 +65,17 @@ BUBBLE_25 = dict(c1=-0.10557280900008419, c2=-0.02555139166832204,
 R0_12 = 2.2170934247154497
 R0_13 = 2.7447154121169994
 R0_110 = 5.314160807779579
+
+
+def tangent_points(params, r, reward=QUAD):
+    """Local maxima of g/psi found by the solver's engine."""
+    fp = fundamental_pair(params, r)
+    return _tangent_points(fp, reward, _nodes(fp, reward))
+
+
+def threshold(params, r, reward):
+    """One-sided threshold c of the solved region."""
+    return solve_region(params, r, reward).regime.thresholds["c"]
 
 
 # -- region containers -------------------------------------------------------
@@ -138,21 +150,26 @@ def test_stopping_rate_piecewise():
     assert float(stopping_rate(P12, 3.0, QUAD, -0.5)) == pytest.approx(-0.25)
     assert float(stopping_rate(P12, 3.0, QUAD, 0.5)) == pytest.approx(2.75)
     assert float(stopping_rate(P12, 3.0, QUAD, 0.0)) == pytest.approx(-1.0)
-    assert float(stopping_rate(P12, 3.0, QUAD, 0.0, side=-1)) == pytest.approx(2.0)
+    # left limit at the interface: sigma1 applies
+    assert float(stopping_rate(P12, 3.0, QUAD, np.nextafter(0.0, -1.0))) == pytest.approx(2.0)
     # linear reward: no curvature term
     assert float(stopping_rate(P12, 0.5, LIN, 1.0)) == pytest.approx(1.0)
 
 
-def test_g_minus_roots_against_oracle():
-    for r, expected in ORACLE_GM_ROOTS.items():
-        roots = g_minus_roots(P12, r)
+def test_tangent_points_against_oracle():
+    # the tangent points are the roots of G_- where g/psi has a local
+    # maximum: every other oracle root, since the middle one of the three
+    # at r = 2.1 is a local minimum
+    for r, roots in ORACLE_GM_ROOTS.items():
+        points = tangent_points(P12, r)
         if r == 2.0:
-            # tangency at 0 plus one strict crossing
-            assert len(roots) == 2
-            assert roots[0] == 0.0
-            roots = roots[1:]
-        assert len(roots) == len(expected)
-        for got, want in zip(roots, expected):
+            # the tangency at 0 counts, plus one strict crossing
+            assert len(points) == 2
+            assert points[0] == 0.0
+            points = points[1:]
+        expected = roots[::2]
+        assert len(points) == len(expected)
+        for got, want in zip(points, expected):
             assert got == pytest.approx(want, abs=2e-9)
 
 
@@ -163,23 +180,23 @@ def test_linear_threshold_closed_form():
     for sigma1, r in [(1.0, 2.0), (1.0, 0.7), (2.0, 2.5), (0.5, 5.0)]:
         want = sigma1 / math.sqrt(2.0 * r) - 1.0
         for sigma2 in (0.4, 1.0, 3.0):
-            c = solve_linear_threshold(ObmParams(sigma1, sigma2), r)
+            c = threshold(ObmParams(sigma1, sigma2), r, LIN)
             assert c == pytest.approx(want, abs=1e-12)
-    assert solve_linear_threshold(P12, 2.0) == pytest.approx(-0.5, abs=1e-13)
+    assert threshold(P12, 2.0, LIN) == pytest.approx(-0.5, abs=1e-13)
 
 
 def test_linear_threshold_sign_rule():
     # sign(c) = -sign(2r - sigma1^2); exact zero at equality
     for sigma1, sigma2, r in [(1.0, 2.0, 0.7), (1.0, 0.5, 3.0),
                               (1.5, 1.0, 0.8), (0.8, 2.0, 0.1)]:
-        c = solve_linear_threshold(ObmParams(sigma1, sigma2), r)
+        c = threshold(ObmParams(sigma1, sigma2), r, LIN)
         assert np.sign(c) == -np.sign(2.0 * r - sigma1**2)
-    assert solve_linear_threshold(ObmParams(1.0, 1.7), 0.5) == 0.0
-    assert solve_linear_threshold(ObmParams(2.0, 1.0), 2.0) == 0.0
+    assert threshold(ObmParams(1.0, 1.7), 0.5, LIN) == 0.0
+    assert threshold(ObmParams(2.0, 1.0), 2.0, LIN) == 0.0
 
 
 def test_linear_threshold_right_root_oracle():
-    c = solve_linear_threshold(ObmParams(2.0, 1.0), 0.5)
+    c = threshold(ObmParams(2.0, 1.0), 0.5, LIN)
     assert c == pytest.approx(ORACLE_LIN_ROOT_210, abs=1e-12)
 
 
@@ -200,7 +217,7 @@ def test_one_sided_closed_form_high_rate():
                               (1.0, 2.0, 6.0), (1.0, 2.0, 10.0),
                               (0.5, 1.2, 1.44), (0.5, 1.2, 2.0),
                               (2.0, 1.0, 9.0)]:
-        c = solve_quadratic_one_sided(ObmParams(sigma1, sigma2), r)
+        c = threshold(ObmParams(sigma1, sigma2), r, QUAD)
         assert c == pytest.approx(2.0 * sigma1 / math.sqrt(2.0 * r) - 1.0,
                                   abs=1e-10)
 
@@ -208,7 +225,7 @@ def test_one_sided_closed_form_high_rate():
 def test_one_sided_tie_break_at_window_edge():
     # r = 2 sigma1^2 with sigma2^2 > 2 sigma1^2: G_-(0) = 0 is a tangency,
     # the threshold is the strict crossing to its right
-    c = solve_quadratic_one_sided(P12, 2.0)
+    c = threshold(P12, 2.0, QUAD)
     assert c == pytest.approx(ORACLE_GM_ROOTS[2.0][0], abs=2e-9)
 
 
@@ -299,16 +316,17 @@ def test_solve_region_bubble_assembly():
 
 
 def test_regimes_mutually_exclusive():
-    # on the window either the bubble solves or the one-sided candidate
-    # verifies, never both, never neither
+    # on the window either the region is a bubble or the one-sided candidate
+    # at the largest tangent point verifies, never both, never neither
     for r in np.arange(2.05, 4.0, 0.1):
-        bub = solve_bubble(P12, float(r))
-        try:
-            solve_quadratic_one_sided(P12, float(r))
-            one_sided_ok = True
-        except RegimeError:
-            one_sided_ok = False
-        assert one_sided_ok == (bub is None)
+        r = float(r)
+        c = tangent_points(P12, r)[-1]
+        k = float(QUAD.value(c)) / float(fundamental_pair(P12, r).psi(c))
+        tag = RegimeTag.ONE_SIDED_POSITIVE_C if c > 0 else RegimeTag.ONE_SIDED_NEGATIVE_C
+        one_sided = RegionSolution(P12, r, QUAD, Regime(tag, {"c": c}),
+                                   Region.one_sided(c), k)
+        bubble = solve_region(P12, r, QUAD).regime.is_bubble
+        assert verify_solution(one_sided).ok == (not bubble)
 
 
 def test_region_monotone_in_rate():
@@ -360,6 +378,13 @@ def test_find_r0_skew_above_sigma2_squared(beta):
     assert solve_region(params, r0 + 1e-6, reward).regime.is_bubble
 
 
+def test_psi_underflow_is_a_domain_error():
+    # sqrt(2r)/sigma1 = 913: psi underflows to 0 at the tangent point near
+    # the support edge, so g/psi is out of the double range
+    with pytest.raises(DomainError):
+        solve_region(ObmParams(0.0595, 24.9), 1477.0, QUAD)
+
+
 def test_find_r0_rejects_when_no_window():
     with pytest.raises(DomainError):
         find_r0(ObmParams(1.0, 1.2))
@@ -367,6 +392,47 @@ def test_find_r0_rejects_when_no_window():
         find_r0(ObmParams(1.0, math.sqrt(2.0)))
     with pytest.raises(DomainError):
         find_r0(P12, LIN)
+
+
+# -- skew reward, beta < 1/2 -------------------------------------------------
+
+def test_skew_concave_kink_stops_exactly_at_zero():
+    # the kink at 0 is concave: G_- jumps upward across zero there, so the
+    # threshold is the kink itself (the grid oracle puts it at -h/2)
+    beta = 0.2873
+    sol = solve_region(sbm_to_obm(beta), 0.18, Reward.skew_linear(beta))
+    assert sol.regime.tag is RegimeTag.ONE_SIDED_ZERO_C
+    assert sol.boundaries == [0.0]
+    assert verify_solution(sol).ok
+
+
+def test_skew_small_beta_negative_threshold():
+    # left of 0 the skew reward is linear with slope 1/sigma1, so a negative
+    # threshold solves lam1 g(c) = g'(c): c = sigma1 (1/sqrt(2r) - 1)
+    beta, r = 0.2575, 0.53
+    params = sbm_to_obm(beta)
+    c = threshold(params, r, Reward.skew_linear(beta))
+    assert c == pytest.approx(params.sigma1 * (1.0 / math.sqrt(2.0 * r) - 1.0), abs=1e-12)
+    assert c == pytest.approx(-0.019336, abs=1e-6)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.2, 0.3, 0.4])
+def test_skew_small_beta_solves_and_verifies(beta):
+    params, reward = sbm_to_obm(beta), Reward.skew_linear(beta)
+    for r in (0.1, 1.0, 3.0):
+        sol = solve_region(params, r, reward)
+        assert not sol.regime.is_bubble
+        assert verify_solution(sol).ok
+
+
+def test_skew_small_beta_against_grid():
+    beta, r, h = 0.2575, 0.53, 1e-3
+    params, reward = sbm_to_obm(beta), Reward.skew_linear(beta)
+    model = build_chain(params, -8.0, 4.0, h)  # an edge at -2 moves it 3 cells
+    _v, flags, _info = solve_stopping(model, r, reward)
+    grid_b = extract_region(model, flags, reward).boundaries()
+    assert len(grid_b) == 1
+    assert abs(grid_b[0] - threshold(params, r, reward)) <= 3.0 * h
 
 
 # -- smooth-fit-at-interface candidate ---------------------------------------
